@@ -57,8 +57,8 @@ pub fn run_sssp_cfg_stats(
 }
 
 /// [`run_sssp`] on a caller-supplied [`dgp_core::EngineConfig`] — the
-/// hook for guarded vs. proof-carrying interpreter comparisons (set
-/// `elide_verified_checks: false` to force the per-message guards).
+/// hook for compiled vs. interpreted comparisons (set `execution:
+/// Execution::Interpreted` to run the always-guarded interpreter).
 pub fn run_sssp_engine_cfg(
     el: &EdgeList,
     ranks: usize,

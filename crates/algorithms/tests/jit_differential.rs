@@ -3,9 +3,8 @@
 //! The plan JIT monomorphizes every proof-carrying plan into a chain of
 //! typed closures; the interpreter is the semantics oracle. These tests
 //! run every shipped algorithm family twice on the same input — once with
-//! the compiler enabled (the default) and once on the fully guarded
-//! interpreter (`compile_plans: false`, `elide_verified_checks: false`) —
-//! and demand identical results: **bit-identical** wherever the
+//! the compiler enabled (the default) and once on the always-guarded
+//! interpreter (`Execution::Interpreted`) — and demand identical results: **bit-identical** wherever the
 //! computation is deterministic (SSSP distances, CC labels, BFS levels,
 //! MIS/k-core masks, colorings), and within 1e-9 relative tolerance for
 //! the float accumulations whose intra-round summation order is
@@ -17,16 +16,21 @@
 //! chains. A chaos variant reruns the SSSP differential under the
 //! standard fault preset: the JIT must stay bit-identical when the
 //! transport drops, duplicates, delays and reorders envelopes.
+//!
+//! The oracle is itself checked: shipped SSSP and CC run interpreted with
+//! zero locality violations on every rank and match `dgp_algorithms::seq`,
+//! and every shipped plan carries the proof the compiler demands.
 
 use dgp_algorithms::api::{
     run_bfs_engine_cfg, run_cc_engine_cfg, run_pagerank_engine_cfg, run_sssp_engine_cfg,
 };
+use dgp_algorithms::cc::Cc;
 use dgp_algorithms::paths::SsspPaths;
 use dgp_algorithms::sssp::{Sssp, SsspStrategy};
-use dgp_algorithms::{betweenness, coloring, kcore, mis};
+use dgp_algorithms::{betweenness, coloring, kcore, mis, seq};
 use dgp_am::{FaultPlan, Machine, MachineConfig};
-use dgp_core::plan::PlanMode;
-use dgp_core::EngineConfig;
+use dgp_core::plan::{compile, PlanMode};
+use dgp_core::{EngineConfig, Execution};
 use dgp_graph::generators::{self, RmatParams};
 use dgp_graph::properties::EdgeMap;
 use dgp_graph::{DistGraph, Distribution, EdgeList, VertexId};
@@ -41,12 +45,11 @@ fn compiled(mode: PlanMode) -> EngineConfig {
     }
 }
 
-/// The oracle: the fully guarded interpreter, JIT off.
+/// The oracle: the always-guarded interpreter, JIT off.
 fn interpreted(mode: PlanMode) -> EngineConfig {
     EngineConfig {
         plan_mode: mode,
-        compile_plans: false,
-        elide_verified_checks: false,
+        execution: Execution::Interpreted,
         ..Default::default()
     }
 }
@@ -78,7 +81,7 @@ fn assert_close(fast: &[f64], slow: &[f64], what: &str) {
 }
 
 /// The gate itself: shipped plans compile under the default config, stay
-/// interpreted when the JIT is off or the guards are requested, and the
+/// interpreted when `Execution::Interpreted` is requested, and the
 /// fallback reason is observable.
 #[test]
 fn sssp_compiles_by_default_and_falls_back_on_request() {
@@ -91,20 +94,6 @@ fn sssp_compiles_by_default_and_falls_back_on_request() {
         (
             interpreted(PlanMode::Optimized),
             Some(JitFallback::Disabled),
-        ),
-        (
-            EngineConfig {
-                elide_verified_checks: false,
-                ..Default::default()
-            },
-            Some(JitFallback::GuardsRequested),
-        ),
-        (
-            EngineConfig {
-                validate_locality: true,
-                ..Default::default()
-            },
-            Some(JitFallback::ValidatesLocality),
         ),
     ];
     for (cfg, expect) in cases {
@@ -317,5 +306,78 @@ fn sssp_chaos_bit_identical_compiled_vs_interpreted() {
             fast_stats.faults_injected() > 0,
             "seed {seed}: nothing injected"
         );
+    }
+}
+
+/// The proof is the JIT's precondition: every shipped action compiles to
+/// a proof-carrying plan in both modes, so every shipped action runs as
+/// compiled code.
+#[test]
+fn every_builtin_plan_carries_a_proof_in_both_modes() {
+    for family in dgp_algorithms::builtin_patterns() {
+        for action in &family.actions {
+            for mode in MODES {
+                let plan = compile(&action.ir, mode).unwrap_or_else(|e| {
+                    panic!(
+                        "{}/{} ({mode:?}) fails to compile: {e}",
+                        family.name, action.ir.name
+                    )
+                });
+                let facts = plan.facts.unwrap_or_else(|| {
+                    panic!(
+                        "{}/{} ({mode:?}) compiled without a proof",
+                        family.name, action.ir.name
+                    )
+                });
+                // Every guard site the compiled code omits is one the
+                // proof discharged.
+                assert_eq!(
+                    u64::from(facts.locality_sites + facts.consumed_sites),
+                    facts.runtime_checks_elided(),
+                    "{}/{} ({mode:?})",
+                    family.name,
+                    action.ir.name
+                );
+            }
+        }
+    }
+}
+
+/// The oracle's own guards: shipped SSSP (fixed point and Δ) and CC run
+/// on the interpreter in both plan modes without a single locality
+/// violation on any rank, and match the sequential references.
+#[test]
+fn interpreted_oracle_guards_stay_silent_on_shipped_families() {
+    let el = rmat_weighted(7, 11);
+    let want = seq::dijkstra(&el, 0);
+    let graph = DistGraph::build(&el, Distribution::block(el.num_vertices(), 3), false);
+    let mut sym = generators::component_blobs(4, 40, 2, 17);
+    sym.symmetrize();
+    let want_cc = seq::cc_labels(&sym);
+    let cc_graph = DistGraph::build(&sym, Distribution::block(sym.num_vertices(), 3), false);
+    for mode in MODES {
+        for strategy in [SsspStrategy::FixedPoint, SsspStrategy::Delta(2.0)] {
+            let (g, el) = (graph.clone(), el.clone());
+            let out = Machine::run(MachineConfig::new(3), move |ctx| {
+                let weights = EdgeMap::from_weights(&g, &el);
+                let s = Sssp::install(ctx, &g, &weights, interpreted(mode));
+                s.run(ctx, 0, strategy);
+                (s.engine.locality_violations(), s.dist.snapshot())
+            });
+            for (rank, (violations, _)) in out.iter().enumerate() {
+                assert_eq!(*violations, 0, "sssp {mode:?}/{strategy:?} rank {rank}");
+            }
+            assert_bits_eq(&out[0].1, &want, &format!("sssp {mode:?}/{strategy:?}"));
+        }
+        let g = cc_graph.clone();
+        let out = Machine::run(MachineConfig::new(3), move |ctx| {
+            let c = Cc::install(ctx, &g, interpreted(mode));
+            c.run(ctx);
+            (c.engine.locality_violations(), c.comp.snapshot())
+        });
+        for (rank, (violations, _)) in out.iter().enumerate() {
+            assert_eq!(*violations, 0, "cc {mode:?} rank {rank}");
+        }
+        assert_eq!(out[0].1, want_cc, "cc {mode:?}");
     }
 }

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use dgp_algorithms::{seq, SsspStrategy};
 use dgp_am::{Machine, MachineConfig, ShmConfig, StatsSnapshot, TcpConfig, TransportKind};
-use dgp_core::engine::EngineConfig;
+use dgp_core::engine::{EngineConfig, Execution};
 
 use crate::measure;
 use crate::workloads;
@@ -326,25 +326,18 @@ pub fn collect_algorithms(small: bool) -> Vec<AlgoPoint> {
     let el = workloads::rmat_weighted(scale, 8, 41);
     let oracle = seq::dijkstra(&el, 0);
     let mut algorithms = Vec::new();
-    // The SSSP/CC ladder climbs the engine's three execution tiers on the
+    // The SSSP/CC ladder climbs the engine's two execution tiers on the
     // same workload, with the hand-written AM implementation as the
-    // floor the declarative stack is measured against (ISSUE 10 / E18):
-    //   *_guarded  — interpreter with per-message locality/def-use guards,
-    //   *_elided   — interpreter, proof-carrying guard elision (§13),
+    // floor the declarative stack is measured against (E18):
+    //   *_guarded  — the interpreter, guards on every message,
     //   default    — plan JIT, monomorphized native handlers (§14),
     //   *_handwritten — no engine at all.
     let guarded_cfg = EngineConfig {
-        compile_plans: false,
-        elide_verified_checks: false,
-        ..Default::default()
-    };
-    let elided_cfg = EngineConfig {
-        compile_plans: false,
+        execution: Execution::Interpreted,
         ..Default::default()
     };
     for (label, cfg) in [
         ("sssp_delta_guarded", guarded_cfg),
-        ("sssp_delta_elided", elided_cfg),
         ("sssp_delta", EngineConfig::default()),
     ] {
         let m = measure::sssp_pattern(
@@ -375,7 +368,6 @@ pub fn collect_algorithms(small: bool) -> Vec<AlgoPoint> {
     let cc_el = workloads::blobs(8, if small { 200 } else { 1_500 }, 3);
     for (label, cfg) in [
         ("cc_parallel_search_guarded", guarded_cfg),
-        ("cc_parallel_search_elided", elided_cfg),
         ("cc_parallel_search", EngineConfig::default()),
     ] {
         let c = measure::cc_pattern_cfg(label, &cc_el, MachineConfig::new(4), cfg);

@@ -86,9 +86,11 @@ fn lint() -> ! {
 
     // Plan-verification table: what the always-on abstract interpreter
     // proved about every compiled plan, per mode — the facts each proof
-    // carries and how many per-message runtime guards that proof lets the
-    // engine elide (INTERNALS §13). A plan that fails to compile (or
-    // compiles without a proof) is an error-severity finding.
+    // carries, how many per-message guard sites compiled code omits on
+    // the strength of that proof ("checks elided"; the interpreter still
+    // runs them all), and whether the plan JIT accepts the plan (INTERNALS
+    // §13–14). A plan that fails to compile, compiles without a proof, or
+    // falls back to the interpreter is an error-severity finding.
     use dgp_core::engine::static_compilability;
     use dgp_core::plan::{compile, PlanMode};
     let mut pt = Table::new(&[

@@ -91,17 +91,6 @@ pub(crate) struct CompiledAction {
     /// Aligned with `plan.places` for modification targets: resolver of
     /// each condition/mod target place computed on demand via plan places.
     pub(crate) mod_target_resolvers: Vec<Vec<Resolver>>,
-    /// Proof-carrying fast path (INTERNALS §13): the plan carries
-    /// [`crate::plan::VerifiedFacts`] and the config accepts it, so slot
-    /// reads and modification targets use `msg.at` directly instead of
-    /// re-resolving their place and checking locality per message. Sound
-    /// because the proof's `L001` facts pin every such site's Def. 1
-    /// locality to the current step's place — the very place whose
-    /// resolution produced `msg.at` at the last `Goto` — and no step
-    /// between that `Goto` and the access can overwrite the resolution
-    /// slot (its locality is structurally distinct from the `MapAt` place
-    /// it resolves, so `L001` keeps re-gathers away from it).
-    pub(crate) elide_guards: bool,
     /// The plan compiled to native closures (INTERNALS §14) — present
     /// only when the gate and the compiler both accepted it; the engine
     /// then never enters the interpreter for this action.
@@ -119,9 +108,8 @@ pub(crate) struct EngineInner {
     pub(crate) hooks: RwLock<Vec<Option<WorkHook>>>,
     pub(crate) lock_map: LockMap,
     pub(crate) stats: EngineStats,
-    /// Owner-only accesses observed away from their locality — only
-    /// counted when [`EngineConfig::validate_locality`] is set (the
-    /// dynamic cross-validator of the static verifier).
+    /// Owner-only accesses the interpreter's guards caught away from their
+    /// locality (the dynamic cross-validator of the static verifier).
     locality_violations: AtomicU64,
     msg: OnceLock<MessageType<ActionMsg>>,
 }
@@ -258,12 +246,6 @@ impl PatternEngine {
             })
             .collect::<Result<Vec<_>, _>>()?;
         let dep = ir.dependency_matrix();
-        // Guard elision requires the proof *and* an opted-in config; the
-        // dynamic locality cross-validator needs the guards to run, so it
-        // always forces the guarded path.
-        let elide_guards = plan.facts.is_some()
-            && self.inner.cfg.elide_verified_checks
-            && !self.inner.cfg.validate_locality;
         let mut compiled = CompiledAction {
             ir,
             plan,
@@ -274,13 +256,11 @@ impl PatternEngine {
             resolvers,
             readers,
             mod_target_resolvers,
-            elide_guards,
             jit: None,
             jit_fallback: None,
         };
         // Attempt the plan→closure compiler (INTERNALS §14). Its gate
-        // re-derives `elide_guards` plus the `compile_plans` knob, so a
-        // compiled action is always also a guard-elided one; a fallback
+        // demands `Execution::Compiled` and the plan's proof; a fallback
         // is recorded, not an error — the interpreter remains the
         // semantics oracle.
         let maps = self.inner.maps.read().clone();
@@ -298,14 +278,6 @@ impl PatternEngine {
     /// The compiled plan of an action (inspection/reporting).
     pub fn plan_of(&self, action: ActionId) -> plan::ExecPlan {
         self.inner.actions.read()[action as usize].plan.clone()
-    }
-
-    /// Whether the interpreter runs this action on the proof-carrying
-    /// fast path — per-message locality/def-use guards elided because the
-    /// plan carries [`crate::plan::VerifiedFacts`] and the config accepts
-    /// it (INTERNALS §13).
-    pub fn elides_guards(&self, action: ActionId) -> bool {
-        self.inner.actions.read()[action as usize].elide_guards
     }
 
     /// Whether this action runs as compiled native closures instead of
@@ -372,8 +344,10 @@ impl PatternEngine {
     }
 
     /// Owner-only accesses observed away from their locality on this rank.
-    /// Always zero unless [`EngineConfig::validate_locality`] is set; with
-    /// it set, a verifier-clean pattern must keep this at zero (the
+    /// Counted by the interpreter's guards, which run on every message of
+    /// an interpreted action ([`crate::engine::Execution::Interpreted`], or
+    /// a JIT fallback); compiled actions have no guards, so they never
+    /// count. A verifier-clean pattern must keep this at zero (the
     /// differential property the test suite checks).
     pub fn locality_violations(&self) -> u64 {
         self.inner.locality_violations.load(Ordering::SeqCst)
@@ -401,15 +375,9 @@ fn resolver_for(ir: &ActionIr, p: &Place) -> Result<Resolver, String> {
         Place::GenSrc => Resolver::GenSrc,
         Place::GenTrg => Resolver::GenTrg,
         Place::MapAt(m, inner) => {
-            let slot = ir
-                .slots
-                .iter()
-                .position(
-                    |r| matches!(r, ReadRef::VertexProp { map, at } if map == m && at == &**inner),
-                )
-                .ok_or_else(|| {
-                    format!("place {m}[{inner:?}] needs its resolving read declared as a slot")
-                })?;
+            let slot = ir.resolving_slot(*m, inner).ok_or_else(|| {
+                format!("place {m}[{inner:?}] needs its resolving read declared as a slot")
+            })?;
             Resolver::FromSlot(slot)
         }
     })
@@ -417,21 +385,18 @@ fn resolver_for(ir: &ActionIr, p: &Place) -> Result<Resolver, String> {
 
 impl EngineInner {
     /// Dynamic owner-only check (Def. 1): `actual` must be the vertex the
-    /// message is executing at. With `validate_locality` the violation is
-    /// counted (for the differential test against the static verifier);
-    /// without it, debug builds keep the historical hard assert.
+    /// message is executing at. A violation is counted (for the
+    /// differential test against the static verifier), and debug builds
+    /// assert on it.
     fn check_locality(&self, actual: VertexId, expected: VertexId, what: &str, name: &str) {
         if actual == expected {
             return;
         }
-        if self.cfg.validate_locality {
-            self.locality_violations.fetch_add(1, Ordering::Relaxed);
-        } else {
-            debug_assert_eq!(
-                actual, expected,
-                "{what} of {name:?} away from its locality"
-            );
-        }
+        self.locality_violations.fetch_add(1, Ordering::Relaxed);
+        debug_assert_eq!(
+            actual, expected,
+            "{what} of {name:?} away from its locality"
+        );
     }
 
     fn resolve(&self, r: Resolver, msg: &ActionMsg) -> VertexId {
@@ -456,16 +421,8 @@ impl EngineInner {
     fn read_slot(&self, action: &CompiledAction, msg: &ActionMsg, slot: usize) -> Val {
         match &action.readers[slot] {
             SlotReader::Vertex { map, resolver } => {
-                // Proof-carrying plans skip the per-message resolve +
-                // locality guard: the soundness pass proved this site
-                // reads at the current step's place, which is `msg.at`.
-                let y = if action.elide_guards {
-                    msg.at
-                } else {
-                    let y = self.resolve(*resolver, msg);
-                    self.check_locality(y, msg.at, "slot read", &action.ir.name);
-                    y
-                };
+                let y = self.resolve(*resolver, msg);
+                self.check_locality(y, msg.at, "slot read", &action.ir.name);
                 self.maps.read()[*map].read_vertex(self.rank, y)
             }
             SlotReader::Edge { map } => match msg.gen {
@@ -496,25 +453,44 @@ impl EngineInner {
         }
     }
 
+    /// The hop rule shared by both tiers: continue at `pc` on `target`.
+    /// Returns `true` when the instance left this handler as a message;
+    /// `false` means it continues inline — same vertex, or a same-rank
+    /// vertex with `self_send` off (the shared-memory shortcut).
+    #[inline(always)]
+    fn hop(
+        &self,
+        ctx: &AmCtx,
+        action: &CompiledAction,
+        msg: &mut ActionMsg,
+        target: VertexId,
+        pc: u32,
+    ) -> bool {
+        msg.pc = pc;
+        if target == msg.at {
+            return false;
+        }
+        msg.at = target;
+        let dest = self.graph.owner(target);
+        if dest != self.rank || self.cfg.self_send {
+            action.msgs_sent.fetch_add(1, Ordering::Relaxed);
+            let mt = *self.msg.get().expect("engine constructed");
+            mt.send(ctx, dest, *msg);
+            return true;
+        }
+        false
+    }
+
     /// Drive a compiled action: each step closure returns what to do
-    /// next; hops reuse the interpreter's send-or-inline rule (and its
+    /// next; hops take the interpreter's send-or-inline rule (and its
     /// coalescing buffers — the same single message type).
     fn run_jit(&self, ctx: &AmCtx, action: &CompiledAction, jit: &JitProgram, mut msg: ActionMsg) {
         loop {
             match (jit.steps[msg.pc as usize])(self, ctx, &mut msg) {
                 Ctl::Next(pc) => msg.pc = pc,
                 Ctl::Hop { target, pc } => {
-                    msg.pc = pc;
-                    if target != msg.at {
-                        msg.at = target;
-                        let dest = self.graph.owner(target);
-                        if dest != self.rank || self.cfg.self_send {
-                            action.msgs_sent.fetch_add(1, Ordering::Relaxed);
-                            let mt = *self.msg.get().expect("engine constructed");
-                            mt.send(ctx, dest, msg);
-                            return;
-                        }
-                        // Shared-memory shortcut: same rank, run inline.
+                    if self.hop(ctx, action, &mut msg, target, pc) {
+                        return;
                     }
                 }
                 Ctl::Done => return,
@@ -650,17 +626,8 @@ impl EngineInner {
             match &action.plan.steps[msg.pc as usize] {
                 ExecStep::Goto { to, next } => {
                     let target = self.resolve(action.resolvers[*to], &msg);
-                    msg.pc = *next as u32;
-                    if target != msg.at {
-                        msg.at = target;
-                        let dest = self.graph.owner(target);
-                        if dest != self.rank || self.cfg.self_send {
-                            action.msgs_sent.fetch_add(1, Ordering::Relaxed);
-                            let mt = *self.msg.get().expect("engine constructed");
-                            mt.send(ctx, dest, msg);
-                            return;
-                        }
-                        // Shared-memory shortcut: same rank, run inline.
+                    if self.hop(ctx, action, &mut msg, target, *next as u32) {
+                        return;
                     }
                 }
                 ExecStep::Gather { slots, next } => {
@@ -758,13 +725,8 @@ impl EngineInner {
             );
             let op = action.mods[cond][mi].op;
             if slot_matches && op == ModOp::Assign {
-                let target = if action.elide_guards {
-                    msg.at
-                } else {
-                    let t = self.resolve(action.mod_target_resolvers[cond][mi], msg);
-                    self.check_locality(t, msg.at, "atomic modification", &action.ir.name);
-                    t
-                };
+                let target = self.resolve(action.mod_target_resolvers[cond][mi], msg);
+                self.check_locality(target, msg.at, "atomic modification", &action.ir.name);
                 let test = &action.tests[cond];
                 let compute = &action.mods[cond][mi].compute;
                 let (v_in, gen) = (msg.v, msg.gen);
@@ -857,13 +819,8 @@ impl EngineInner {
         let mut dep_changed = false;
         for &mi in mods {
             let m = &action.ir.conditions[cond].mods[mi];
-            let target = if action.elide_guards {
-                msg.at
-            } else {
-                let t = self.resolve(action.mod_target_resolvers[cond][mi], msg);
-                self.check_locality(t, msg.at, "modification", &action.ir.name);
-                t
-            };
+            let target = self.resolve(action.mod_target_resolvers[cond][mi], msg);
+            self.check_locality(target, msg.at, "modification", &action.ir.name);
             let exec = &action.mods[cond][mi];
             let maps = self.maps.read();
             let changed = match exec.op {

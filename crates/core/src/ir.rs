@@ -81,6 +81,15 @@ impl Place {
     pub fn map_at(map: MapId, x: Place) -> Place {
         Place::MapAt(map, Box::new(x))
     }
+
+    /// Whether two places may name the same vertex within an epoch's
+    /// instances: the same locality *class* when equal, or when both are
+    /// pointer dereferences through the same outermost map (two `pnt[..]`
+    /// reads can land on one root). The race checker and the soundness
+    /// analyzer's staleness tracking share this rule.
+    pub fn may_alias(&self, other: &Place) -> bool {
+        self == other || matches!((self, other), (Place::MapAt(a, _), Place::MapAt(b, _)) if a == b)
+    }
 }
 
 /// A declared read of a property value (one payload slot in the generated
@@ -239,6 +248,17 @@ impl ActionIr {
             .iter()
             .map(|c| c.mods.iter().map(|m| read_maps.contains(&m.map)).collect())
             .collect()
+    }
+
+    /// The declared read that resolves the place `map[inner]`: the slot
+    /// reading vertex property `map` at `inner`, whose value is the vertex
+    /// `map[inner]` names. The planner routes hops through this slot, the
+    /// soundness analyzer proves it gathered, and the engine resolves from
+    /// it, so all three must agree on which slot it is.
+    pub fn resolving_slot(&self, map: MapId, inner: &Place) -> Option<usize> {
+        self.slots.iter().position(
+            |r| matches!(r, ReadRef::VertexProp { map: m, at } if *m == map && at == inner),
+        )
     }
 
     /// All distinct localities accessed by condition `ci`'s test.

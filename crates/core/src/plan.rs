@@ -34,7 +34,7 @@ pub mod soundness;
 use std::collections::HashSet;
 
 use crate::depgraph::DepTree;
-use crate::ir::{ActionIr, Place, ReadRef, Slot};
+use crate::ir::{ActionIr, Place, Slot};
 use crate::verify::{DiagCode, Diagnostic, Severity};
 
 pub use soundness::VerifiedFacts;
@@ -191,7 +191,7 @@ pub struct ExecPlan {
     /// every plan [`compile`] returns. `VerifiedFacts` is a sealed
     /// capability (only [`soundness::analyze`] constructs it), so a
     /// hand-mutated plan cannot carry one — the engine checks this field
-    /// before eliding its per-message runtime guards.
+    /// before compiling the plan to native handlers.
     pub facts: Option<soundness::VerifiedFacts>,
 }
 
@@ -383,7 +383,7 @@ pub fn compile(ir: &ActionIr, mode: PlanMode) -> Result<ExecPlan, PlanError> {
     // The planner's output is re-checked by the path-sensitive abstract
     // interpreter on *every* compile, release builds included: a compiler
     // bug must fail at registration, not as a wrong answer at runtime.
-    // A clean pass attaches the proof the engine's guard elision keys on.
+    // A clean pass attaches the proof the engine's plan JIT keys on.
     let analysis = soundness::analyze(ir, &plan);
     if analysis.has_errors() {
         return Err(PlanError {
@@ -406,27 +406,18 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Slot holding the read that resolves `MapAt(map, inner)`.
-    fn resolution_slot(&self, map: u32, inner: &Place) -> Result<usize, String> {
-        self.ir
-            .slots
-            .iter()
-            .position(|r| matches!(r, ReadRef::VertexProp { map: m, at } if *m == map && at == inner))
-            .ok_or_else(|| {
-                format!(
-                    "action {:?}: place map {}[{:?}] used as a locality, but its value is not declared as a read",
-                    self.ir.name, map, inner
-                )
-            })
-    }
-
     /// All slots that must be gathered to *resolve* the identity of `p`
     /// (the pointer reads along its `MapAt` chain), outermost last.
     fn resolution_chain(&self, p: &Place) -> Result<Vec<(usize, Place)>, String> {
         let mut out = Vec::new();
         let mut cur = p.clone();
         while let Place::MapAt(m, inner) = cur {
-            let slot = self.resolution_slot(m, &inner)?;
+            let slot = self.ir.resolving_slot(m, &inner).ok_or_else(|| {
+                format!(
+                    "action {:?}: place map {}[{:?}] used as a locality, but its value is not declared as a read",
+                    self.ir.name, m, inner
+                )
+            })?;
             out.push((slot, (*inner).clone()));
             cur = *inner;
         }
@@ -772,31 +763,6 @@ impl<'a> Compiler<'a> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Static analysis
-// ---------------------------------------------------------------------
-
-/// Verify a compiled plan against its action: along *every* control-flow
-/// path, no condition test or modification reads a payload slot before
-/// some earlier step gathered it, every read and write executes at its
-/// Def. 1 locality, and every pointer-indirected hop resolves from a
-/// gathered slot. Delegates to the fixpoint of [`soundness::analyze`]
-/// (`L001`/`D002`/`S005`/`P006`). [`compile`] runs the same pass
-/// unconditionally; this entry point re-checks externally mutated plans
-/// and backs the property-test suite.
-pub fn verify(ir: &ActionIr, plan: &ExecPlan) -> Result<(), PlanError> {
-    let analysis = soundness::analyze(ir, plan);
-    if analysis.has_errors() {
-        Err(PlanError {
-            action: ir.name.clone(),
-            diagnostics: analysis.diagnostics,
-            plan: Some(plan.to_string()),
-        })
-    } else {
-        Ok(())
-    }
-}
-
 impl ExecPlan {
     /// Static message count and hop list under the paper's counting model:
     /// every `Goto` between distinct *places* is one message (distinct
@@ -903,7 +869,7 @@ impl std::fmt::Display for CommPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ConditionIr, GeneratorIr, MapId, ModKind, ModificationIr};
+    use crate::ir::{ConditionIr, GeneratorIr, MapId, ModKind, ModificationIr, ReadRef};
 
     const DIST: MapId = 0;
     const WEIGHT: MapId = 1;

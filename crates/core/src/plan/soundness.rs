@@ -16,9 +16,9 @@
 //!   payload: the hop demands that slot `Gathered` on every path
 //!   (otherwise `D002`) and promotes it to `Resolved`. Writes mark every
 //!   slot whose `(map, locality class)` may alias the modified cell as
-//!   `Written` — the [`crate::verify::races_in_action`] notion of aliasing
-//!   (`p[x]` vs `p[y]` through the same outermost map), applied to payload
-//!   staleness instead of store races.
+//!   `Written` — the race checker's notion of aliasing
+//!   ([`Place::may_alias`]: `p[x]` vs `p[y]` through the same outermost
+//!   map), applied to payload staleness instead of store races.
 //! * **Fixpoint over looping shapes.** States are keyed on
 //!   `(pc, current place)` and joined monotonically, so plans whose
 //!   control flow re-enters earlier steps (hand-built or future planner
@@ -32,9 +32,9 @@
 //! malformed plan), `P006` (a pointer place with no declared resolving
 //! read). A plan with no error-severity findings earns a
 //! [`VerifiedFacts`] — the sealed capability [`super::compile`] attaches
-//! to the plan, which the engine accepts as licence to elide its
-//! per-message locality and def-use guards (the proof-carrying-plan
-//! contract of INTERNALS §13).
+//! to the plan, which the engine accepts as licence to compile the plan
+//! to native handlers that carry no per-message locality or def-use
+//! guards (the proof-carrying-plan contract of INTERNALS §13).
 
 use std::collections::HashMap;
 
@@ -90,8 +90,9 @@ fn join_state(into: &mut AbsState, from: &AbsState) -> bool {
 /// This is a *sealed capability*: the private field keeps construction
 /// inside this module, so a `VerifiedFacts` on an [`ExecPlan`] is evidence
 /// that [`analyze`] ran over exactly that plan and proved every fact
-/// below. The engine relies on this to drop its per-message runtime
-/// guards (see `engine/exec.rs`): a hand-mutated plan cannot carry one.
+/// below. The engine relies on this to run the plan as compiled code with
+/// no per-message runtime guards (see `engine/compiled.rs`): a
+/// hand-mutated plan cannot carry one.
 // Not `#[non_exhaustive]`: that only seals across crates, and the point
 // is to keep sibling modules (the planner, the engine) from minting a
 // proof they did not earn.
@@ -100,7 +101,7 @@ fn join_state(into: &mut AbsState, from: &AbsState) -> bool {
 pub struct VerifiedFacts {
     /// Static sites (gathers, fresh reads, modification targets) proven to
     /// execute at their Def. 1 locality — the per-message `check_locality`
-    /// calls the interpreter may elide.
+    /// calls compiled code omits.
     pub locality_sites: u32,
     /// Pointer-indirected hops whose resolution slot is proven gathered on
     /// every path — the def-use half of the proof.
@@ -118,10 +119,10 @@ pub struct VerifiedFacts {
 }
 
 impl VerifiedFacts {
-    /// Per-message runtime checks the engine may skip on this plan: one
+    /// Guard sites that compiled code omits on this plan, per message: one
     /// locality comparison per proven site plus one resolve-and-compare
-    /// per proven consumption (slot reads resolve their locality before
-    /// the guard today).
+    /// per proven consumption. The interpreter, the semantics oracle,
+    /// still runs every one of them.
     pub fn runtime_checks_elided(&self) -> u64 {
         self.locality_sites as u64 + self.consumed_sites as u64
     }
@@ -157,24 +158,13 @@ impl Analysis {
     }
 }
 
-/// The slot that resolves a hop to `p[x]`: the declared read of `p` at
-/// `x`, exactly as the engine's `Resolver::FromSlot` is built.
+/// The slot that resolves a hop to `p[x]`: [`ActionIr::resolving_slot`],
+/// the same slot the planner routes through and the engine resolves from.
 fn resolution_slot_of(ir: &ActionIr, place: &Place) -> Option<usize> {
     let Place::MapAt(m, inner) = place else {
         return None;
     };
-    ir.slots
-        .iter()
-        .position(|r| matches!(r, ReadRef::VertexProp { map, at } if map == m && at == &**inner))
-}
-
-/// Same locality class: equal, or pointer dereferences through one
-/// outermost map (two `pnt[..]` reads can land on one root vertex).
-fn may_alias(p: &Place, q: &Place) -> bool {
-    if p == q {
-        return true;
-    }
-    matches!((p, q), (Place::MapAt(a, _), Place::MapAt(b, _)) if a == b)
+    ir.resolving_slot(*m, inner)
 }
 
 /// Run the abstract interpreter over one compiled plan.
@@ -592,7 +582,7 @@ fn mark_written(ir: &ActionIr, st: &mut AbsState, cond: usize, mods: &[usize]) {
         let Some(m) = c.mods.get(mi) else { continue };
         for (s, r) in ir.slots.iter().enumerate() {
             if let ReadRef::VertexProp { map, at } = r {
-                if *map == m.map && may_alias(at, &m.at) {
+                if *map == m.map && at.may_alias(&m.at) {
                     if let Some(slot) = st.get_mut(s) {
                         if slot.gathered {
                             slot.may_stale = true;

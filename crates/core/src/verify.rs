@@ -12,6 +12,8 @@
 //!    local read, and modification must execute at the Def. 1 locality of
 //!    the value it touches. The owner-only discipline holds by
 //!    construction of the planner; this re-derives it from the plan text.
+//!    Analyses 1 and 2 are [`crate::plan::soundness::analyze`], which runs
+//!    inside every [`compile`]; this module adds 3 and 4.
 //! 2. **Def-use over message programs** (`D002`) — along *every*
 //!    control-flow path, a payload slot consumed by a condition test or a
 //!    modification right-hand side must have been gathered earlier on
@@ -231,18 +233,30 @@ impl std::fmt::Display for Report {
 // Entry points
 // ---------------------------------------------------------------------
 
-/// Verify one action against one compiled plan: the plan walk (L001 +
-/// D002) plus the IR-level race and self-trigger analyses (R003, T004).
+/// Verify one action against a plan supplied from outside the planner
+/// (visualization, tampered-plan tests): the soundness pass
+/// ([`crate::plan::soundness::analyze`]: L001/D002/S005/P006) plus the
+/// IR-level race and self-trigger analyses (R003, T004).
 pub fn verify_action(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
-    let mut out = walk_plan(ir, plan);
-    out.extend(races_in_action(ir, plan));
+    let mut out = crate::plan::soundness::analyze(ir, plan).diagnostics;
+    out.extend(pattern_checks(ir, plan));
+    out
+}
+
+/// The analyses that judge the *pattern* rather than the planner's output:
+/// stale-guard and write/write races (R003) and unguarded self-triggers
+/// (T004). Plans from [`compile`] need only these — `compile` has already
+/// proved them sound.
+fn pattern_checks(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
+    let mut out = races_in_action(ir, plan);
     out.extend(self_trigger(ir, plan));
     out
 }
 
 /// Verify an action from its IR alone: validates the structure (`S005`),
-/// compiles *both* plan modes (`P006` on failure), and runs
-/// [`verify_action`] on each, deduplicating mode-independent findings.
+/// compiles *both* plan modes (`P006` or the soundness findings on
+/// failure), and runs the race and self-trigger analyses on each compiled
+/// plan, deduplicating mode-independent findings.
 /// This is what [`crate::builder::ActionBuilder::build`] runs.
 pub fn verify_ir(ir: &ActionIr) -> Report {
     let mut report = Report::default();
@@ -277,7 +291,7 @@ pub fn verify_ir(ir: &ActionIr) -> Report {
     for mode in [PlanMode::Faithful, PlanMode::Optimized] {
         match compile(ir, mode) {
             Ok(plan) => {
-                for d in verify_action(ir, &plan) {
+                for d in pattern_checks(ir, &plan) {
                     report.push_dedup(d);
                 }
             }
@@ -325,17 +339,6 @@ pub fn verify_pattern(actions: &[&ActionIr]) -> Report {
     report
 }
 
-/// Re-check a plan against its action (the `plan::soundness` pass:
-/// L001/D002/S005/P006) and return the first error, if any. The same
-/// analysis runs unconditionally — release builds included — at the end
-/// of every [`crate::plan::compile`]: the planner's *output* must always
-/// be locality- and def-use-sound, whatever races the pattern itself has.
-pub fn check_plan(ir: &ActionIr, plan: &ExecPlan) -> Option<Diagnostic> {
-    walk_plan(ir, plan)
-        .into_iter()
-        .find(|d| d.severity == Severity::Error)
-}
-
 /// Every `p[x]` used as a locality — in a read's place or a modification
 /// target — needs the read of `p` at `x` declared as a slot, or neither
 /// the planner nor the engine can resolve the vertex it names (`P006`).
@@ -343,10 +346,7 @@ fn unresolved_places(ir: &ActionIr) -> Vec<Diagnostic> {
     fn check(ir: &ActionIr, p: &Place, what: &str, out: &mut Vec<Diagnostic>) {
         let mut cur = p;
         while let Place::MapAt(m, inner) = cur {
-            let declared = ir.slots.iter().any(
-                |r| matches!(r, ReadRef::VertexProp { map, at } if map == m && at == &**inner),
-            );
-            if !declared {
+            if ir.resolving_slot(*m, inner).is_none() {
                 let d = Diagnostic::new(
                     DiagCode::P006,
                     Severity::Error,
@@ -380,31 +380,8 @@ fn unresolved_places(ir: &ActionIr) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// Analysis 1 + 2: locality soundness and def-use. The historical
-// exponential path enumeration over (pc, place, filled-set) was replaced
-// by the path-sensitive fixpoint of `plan::soundness` (a per-slot must/
-// may lattice joined at merge points); this wrapper keeps the verifier's
-// entry points stable.
-// ---------------------------------------------------------------------
-
-fn walk_plan(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
-    crate::plan::soundness::analyze(ir, plan).diagnostics
-}
-
-// ---------------------------------------------------------------------
 // Analysis 3: epoch write races (§III-C).
 // ---------------------------------------------------------------------
-
-/// Two places may name the same vertex within an epoch's instances: they
-/// are the same locality *class* when equal, or when both are pointer
-/// dereferences through the same outermost map (two `pnt[..]` reads can
-/// land on one root).
-fn may_alias(p: &Place, q: &Place) -> bool {
-    if p == q {
-        return true;
-    }
-    matches!((p, q), (Place::MapAt(a, _), Place::MapAt(b, _)) if a == b)
-}
 
 /// One static assignment site, with whether the merged-modification
 /// guarantee protects it (the CAS shape: applied inside the merged
@@ -482,7 +459,7 @@ fn races_in_action(ir: &ActionIr, plan: &ExecPlan) -> Vec<Diagnostic> {
                 let ReadRef::VertexProp { map, at } = &ir.slots[s] else {
                     continue;
                 };
-                if *map != m.map || !may_alias(at, &m.at) {
+                if *map != m.map || !at.may_alias(&m.at) {
                     continue;
                 }
                 // The merged step synchronizes test and write only for the
@@ -532,7 +509,7 @@ fn cross_site_races(sites: &[WriteSite], cross_actions_only: bool) -> Vec<Diagno
             if same_action && a.cond == b.cond && a.group == b.group {
                 continue;
             }
-            if a.map != b.map || !may_alias(&a.at, &b.at) {
+            if a.map != b.map || !a.at.may_alias(&b.at) {
                 continue;
             }
             if a.protected && b.protected {
@@ -684,7 +661,7 @@ mod tests {
                 }
             }
         }
-        let diags = walk_plan(&ir, &plan);
+        let diags = crate::plan::soundness::analyze(&ir, &plan).diagnostics;
         assert!(diags.iter().any(|d| d.code == DiagCode::L001), "{diags:?}");
     }
 
@@ -697,7 +674,7 @@ mod tests {
                 slots.retain(|&s| s != 1);
             }
         }
-        let diags = walk_plan(&ir, &plan);
+        let diags = crate::plan::soundness::analyze(&ir, &plan).diagnostics;
         assert!(diags.iter().any(|d| d.code == DiagCode::D002), "{diags:?}");
     }
 
@@ -787,12 +764,12 @@ mod tests {
 
     #[test]
     fn alias_classes_follow_pointer_maps() {
-        assert!(may_alias(&Place::Input, &Place::Input));
-        assert!(!may_alias(&Place::Input, &Place::GenTrg));
+        assert!(Place::Input.may_alias(&Place::Input));
+        assert!(!Place::Input.may_alias(&Place::GenTrg));
         let p = Place::map_at(3, Place::Input);
         let q = Place::map_at(3, Place::GenTrg);
         let r = Place::map_at(4, Place::Input);
-        assert!(may_alias(&p, &q));
-        assert!(!may_alias(&p, &r));
+        assert!(p.may_alias(&q));
+        assert!(!p.may_alias(&r));
     }
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use dgp_core::plan::{compile, verify, PlanMode};
+use dgp_core::plan::{compile, soundness, PlanMode};
 
 mod common;
 use common::arb_action;
@@ -21,11 +21,10 @@ proptest! {
         // Some random actions exceed slot limits or miss resolution reads
         // after truncation; those must *fail cleanly*, not miscompile.
         if let Ok(plan) = compile(&ir, mode) {
-            // compile() already verifies in debug builds; re-check here so
-            // the property also holds under release test runs.
-            if let Err(e) = verify(&ir, &plan) {
-                prop_assert!(false, "{ir:?}\n{e}");
-            }
+            // compile() already runs the soundness pass; re-run it here so
+            // the property is checked independently of the planner.
+            let a = soundness::analyze(&ir, &plan);
+            prop_assert!(!a.has_errors(), "{ir:?}\n{plan}\n{:?}", a.diagnostics);
         }
     }
 
