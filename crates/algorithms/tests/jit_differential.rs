@@ -20,6 +20,13 @@
 //! The oracle is itself checked: shipped SSSP and CC run interpreted with
 //! zero locality violations on every rank and match `dgp_algorithms::seq`,
 //! and every shipped plan carries the proof the compiler demands.
+//!
+//! Compiled hops ship only their live slots in narrow message classes
+//! (INTERNALS §14.5) while the interpreter ships full frames. SSSP and CC
+//! are also compared with `self_send` off — inline full frames mixed with
+//! narrow cross-rank hops — and with two threads per rank, and the
+//! per-type counters pin which classes each tier actually sends on, so a
+//! silent fallback to full width cannot pass.
 
 use dgp_algorithms::api::{
     run_bfs_engine_cfg, run_cc_engine_cfg, run_pagerank_engine_cfg, run_sssp_engine_cfg,
@@ -28,7 +35,9 @@ use dgp_algorithms::cc::Cc;
 use dgp_algorithms::paths::SsspPaths;
 use dgp_algorithms::sssp::{Sssp, SsspStrategy};
 use dgp_algorithms::{betweenness, coloring, kcore, mis, seq};
+use dgp_am::stats::TypeStatSnapshot;
 use dgp_am::{FaultPlan, Machine, MachineConfig};
+use dgp_core::engine::HopClass;
 use dgp_core::plan::{compile, PlanMode};
 use dgp_core::{EngineConfig, Execution};
 use dgp_graph::generators::{self, RmatParams};
@@ -379,5 +388,153 @@ fn interpreted_oracle_guards_stay_silent_on_shipped_families() {
             assert_eq!(*violations, 0, "cc {mode:?} rank {rank}");
         }
         assert_eq!(out[0].1, want_cc, "cc {mode:?}");
+    }
+}
+
+/// One SSSP solve on an explicit machine: rank 0's distances plus the
+/// machine-wide per-type counters.
+fn sssp_solve(
+    el: &EdgeList,
+    mcfg: MachineConfig,
+    cfg: EngineConfig,
+    strategy: SsspStrategy,
+) -> (Vec<f64>, Vec<TypeStatSnapshot>) {
+    let graph = DistGraph::build(
+        el,
+        Distribution::block(el.num_vertices(), mcfg.ranks),
+        false,
+    );
+    let el = el.clone();
+    let mut out = Machine::run(mcfg, move |ctx| {
+        let weights = EdgeMap::from_weights(&graph, &el);
+        let s = Sssp::install(ctx, &graph, &weights, cfg);
+        s.run(ctx, 0, strategy);
+        let dist = s.dist.snapshot();
+        ctx.barrier();
+        (ctx.rank() == 0).then(|| (dist, ctx.type_stats()))
+    });
+    out[0].take().unwrap()
+}
+
+/// One CC solve on an explicit machine (the input is symmetrized here).
+fn cc_solve(
+    el: &EdgeList,
+    mcfg: MachineConfig,
+    cfg: EngineConfig,
+) -> (Vec<u64>, Vec<TypeStatSnapshot>) {
+    let mut sym = el.clone();
+    sym.symmetrize();
+    let graph = DistGraph::build(
+        &sym,
+        Distribution::block(sym.num_vertices(), mcfg.ranks),
+        false,
+    );
+    let mut out = Machine::run(mcfg, move |ctx| {
+        let c = Cc::install(ctx, &graph, cfg);
+        c.run(ctx);
+        let comp = c.comp.snapshot();
+        ctx.barrier();
+        (ctx.rank() == 0).then(|| (comp, ctx.type_stats()))
+    });
+    out[0].take().unwrap()
+}
+
+/// Messages sent on one engine message class.
+fn sent_on(stats: &[TypeStatSnapshot], class: HopClass) -> u64 {
+    stats
+        .iter()
+        .find(|t| t.name == class.type_name())
+        .unwrap_or_else(|| panic!("{class:?} not registered: {stats:?}"))
+        .sent
+}
+
+const NARROW: [HopClass; 3] = [HopClass::Slots0, HopClass::Slots2, HopClass::Slots4];
+
+/// Inline same-rank hops carry the full in-memory frame while cross-rank
+/// hops arrive narrow (`self_send` off), and handler worker threads
+/// unpack narrow messages concurrently (`threads_per_rank` 2): results
+/// stay bit-identical to the interpreter either way.
+#[test]
+fn sssp_cc_bit_identical_with_inline_hops_and_worker_threads() {
+    let el = rmat_weighted(7, 13);
+    let blobs = generators::component_blobs(4, 40, 2, 19);
+    let variants = [
+        ("self_send off", MachineConfig::new(3), false),
+        (
+            "2 threads/rank",
+            MachineConfig::new(3).threads_per_rank(2),
+            true,
+        ),
+    ];
+    for (what, mcfg, self_send) in variants {
+        for mode in MODES {
+            let fast = EngineConfig {
+                self_send,
+                ..compiled(mode)
+            };
+            let slow = EngineConfig {
+                self_send,
+                ..interpreted(mode)
+            };
+            for strategy in [SsspStrategy::FixedPoint, SsspStrategy::Delta(2.0)] {
+                let (f, _) = sssp_solve(&el, mcfg.clone(), fast, strategy);
+                let (i, _) = sssp_solve(&el, mcfg.clone(), slow, strategy);
+                assert_bits_eq(&f, &i, &format!("sssp {what} {mode:?}/{strategy:?}"));
+            }
+            let (f, _) = cc_solve(&blobs, mcfg.clone(), fast);
+            let (i, _) = cc_solve(&blobs, mcfg.clone(), slow);
+            assert_eq!(f, i, "cc {what} {mode:?}");
+        }
+    }
+}
+
+/// Which classes each tier sends on: compiled SSSP and CC never use the
+/// full-width type, the interpreter uses nothing else.
+#[test]
+fn compiled_hops_ship_narrow_and_interpreted_hops_ship_full() {
+    let el = rmat_weighted(7, 11);
+    let blobs = generators::component_blobs(4, 40, 2, 17);
+    for mode in MODES {
+        let runs = [
+            (
+                "sssp",
+                sssp_solve(
+                    &el,
+                    MachineConfig::new(3),
+                    compiled(mode),
+                    SsspStrategy::Delta(2.0),
+                )
+                .1,
+                sssp_solve(
+                    &el,
+                    MachineConfig::new(3),
+                    interpreted(mode),
+                    SsspStrategy::Delta(2.0),
+                )
+                .1,
+            ),
+            (
+                "cc",
+                cc_solve(&blobs, MachineConfig::new(3), compiled(mode)).1,
+                cc_solve(&blobs, MachineConfig::new(3), interpreted(mode)).1,
+            ),
+        ];
+        for (what, fast, slow) in runs {
+            let narrow: u64 = NARROW.iter().map(|&c| sent_on(&fast, c)).sum();
+            assert!(narrow > 0, "{what} {mode:?}: compiled run sent nothing");
+            assert_eq!(
+                sent_on(&fast, HopClass::Full),
+                0,
+                "{what} {mode:?}: a compiled hop fell back to full width"
+            );
+            assert!(sent_on(&slow, HopClass::Full) > 0, "{what} {mode:?}");
+            for c in NARROW {
+                assert_eq!(
+                    sent_on(&slow, c),
+                    0,
+                    "{what} {mode:?}: interpreted on {c:?}"
+                );
+            }
+        }
     }
 }

@@ -1385,7 +1385,10 @@ impl AmCtx {
             let mut ts = self.shared.type_stats.write();
             if (id as usize) >= ts.len() {
                 debug_assert_eq!(ts.len(), id as usize, "collective registration order");
-                ts.push(Arc::new(TypeStat::new(name.to_string())));
+                ts.push(Arc::new(TypeStat::new(
+                    name.to_string(),
+                    std::mem::size_of::<T>(),
+                )));
             }
         }
         let mt = MessageType {
@@ -2724,6 +2727,28 @@ mod type_stats_tests {
             (stats[1].name.as_str(), stats[1].sent, stats[1].handled),
             ("pong", 1, 1)
         );
+    }
+
+    #[test]
+    fn per_type_bytes_follow_message_width() {
+        let out = Machine::run(MachineConfig::new(2), |ctx| {
+            let narrow = ctx.register_named("narrow", |_ctx, _x: u16| {});
+            let wide = ctx.register_named("wide", |_ctx, _x: [u64; 5]| {});
+            ctx.epoch(|ctx| {
+                if ctx.rank() == 1 {
+                    for i in 0..3u16 {
+                        narrow.send(ctx, 0, i);
+                    }
+                    wide.send(ctx, 0, [0; 5]);
+                    wide.send(ctx, 1, [1; 5]);
+                }
+            });
+            ctx.type_stats()
+        });
+        for stats in &out {
+            assert_eq!((stats[0].sent, stats[0].bytes_sent), (3, 3 * 2));
+            assert_eq!((stats[1].sent, stats[1].bytes_sent), (2, 2 * 40));
+        }
     }
 
     #[test]

@@ -692,8 +692,8 @@ impl MetricsReport {
             let mut name = String::new();
             json_escape(&t.name, &mut name);
             out.push_str(&format!(
-                "{{\"name\":\"{name}\",\"sent\":{},\"handled\":{}}}",
-                t.sent, t.handled
+                "{{\"name\":\"{name}\",\"sent\":{},\"handled\":{},\"bytes\":{}}}",
+                t.sent, t.handled, t.bytes_sent
             ));
         }
         out.push_str("],\"spans_dropped\":[");
@@ -937,6 +937,7 @@ mod tests {
                 name: "a\"b".into(),
                 sent: 4,
                 handled: 4,
+                bytes_sent: 32,
             }],
             epoch_profiles: vec![EpochProfile {
                 epoch: 1,
@@ -953,6 +954,7 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"ranks\":2"));
         assert!(json.contains("a\\\"b"), "{json}");
+        assert!(json.contains("\"handled\":4,\"bytes\":32}"), "{json}");
         assert!(json.contains("\"coalescing_factor\":2.000000"));
         assert!(json.contains("\"spans_dropped\":[0,3]"), "{json}");
         assert!(json.contains("\"frontier\":17.000000"), "{json}");

@@ -141,23 +141,29 @@ pub struct TypeStat {
     pub sent: AtomicU64,
     /// Messages of this type whose handler completed.
     pub handled: AtomicU64,
+    /// `size_of` one message of this type: the bytes it occupies in the
+    /// coalescing buffers, on every transport.
+    pub msg_bytes: usize,
 }
 
 impl TypeStat {
-    pub(crate) fn new(name: String) -> Self {
+    pub(crate) fn new(name: String, msg_bytes: usize) -> Self {
         TypeStat {
             name,
             sent: AtomicU64::new(0),
             handled: AtomicU64::new(0),
+            msg_bytes,
         }
     }
 
     /// Point-in-time copy.
     pub fn snapshot(&self) -> TypeStatSnapshot {
+        let sent = self.sent.load(Ordering::SeqCst);
         TypeStatSnapshot {
             name: self.name.clone(),
-            sent: self.sent.load(Ordering::SeqCst),
+            sent,
             handled: self.handled.load(Ordering::SeqCst),
+            bytes_sent: sent * self.msg_bytes as u64,
         }
     }
 }
@@ -171,6 +177,8 @@ pub struct TypeStatSnapshot {
     pub sent: u64,
     /// Messages of this type whose handler completed.
     pub handled: u64,
+    /// Payload bytes accepted for sending: `sent` × the type's size.
+    pub bytes_sent: u64,
 }
 
 /// A point-in-time copy of [`MachineStats`].

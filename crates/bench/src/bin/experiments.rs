@@ -90,8 +90,12 @@ fn lint() -> ! {
     // the strength of that proof ("checks elided"; the interpreter still
     // runs them all), and whether the plan JIT accepts the plan (INTERNALS
     // §13–14). A plan that fails to compile, compiles without a proof, or
-    // falls back to the interpreter is an error-severity finding.
-    use dgp_core::engine::static_compilability;
+    // falls back to the interpreter is an error-severity finding. The
+    // "hop payloads" column gives each hop's narrow message class and its
+    // bytes (INTERNALS §14.5); a compiled hop on the full-width class is an
+    // error too.
+    use dgp_core::engine::{hop_payloads, static_compilability, HopClass};
+    use dgp_core::ir::Place;
     use dgp_core::plan::{compile, PlanMode};
     let mut pt = Table::new(&[
         "pattern",
@@ -101,6 +105,7 @@ fn lint() -> ! {
         "facts proved",
         "checks elided",
         "compiled",
+        "hop payloads",
     ]);
     for p in dgp_algorithms::builtin_patterns() {
         let hints: Vec<_> = p.maps.iter().map(|(_, h)| *h).collect();
@@ -124,6 +129,24 @@ fn lint() -> ! {
                                     format!("NO: {fb}")
                                 }
                             };
+                            // The entry `goto v` never leaves the input
+                            // vertex, so it is not a hop.
+                            let hops: Vec<String> = hop_payloads(&a.ir, &plan)
+                                .iter()
+                                .filter(|h| h.pc != 0 || h.to != Place::Input)
+                                .map(|h| {
+                                    let class = match h.class {
+                                        HopClass::Slots0 => "hop0",
+                                        HopClass::Slots2 => "hop2",
+                                        HopClass::Slots4 => "hop4",
+                                        HopClass::Full => {
+                                            errors += 1;
+                                            "FULL"
+                                        }
+                                    };
+                                    format!("{} {class} {}B", h.to, h.class.bytes())
+                                })
+                                .collect();
                             pt.row(vec![
                                 p.name.to_string(),
                                 a.ir.name.clone(),
@@ -132,6 +155,7 @@ fn lint() -> ! {
                                 facts.summary(),
                                 facts.runtime_checks_elided().to_string(),
                                 compiled,
+                                hops.join(", "),
                             ]);
                         }
                         None => {
@@ -144,6 +168,7 @@ fn lint() -> ! {
                                 "NO PROOF".to_string(),
                                 "0".to_string(),
                                 "no (no proof)".to_string(),
+                                "-".to_string(),
                             ]);
                         }
                     },
@@ -162,6 +187,7 @@ fn lint() -> ! {
                                     .unwrap_or("?")
                             ),
                             "0".to_string(),
+                            "-".to_string(),
                             "-".to_string(),
                         ]);
                     }

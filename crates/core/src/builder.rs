@@ -151,6 +151,11 @@ impl ActionBuilder {
     }
 
     /// Add a condition (`if`). `reads` are the slots the test consults.
+    ///
+    /// The test may read only the slots it declares here. Compiled hops
+    /// ship just the slots some later step declares it reads (INTERNALS
+    /// §14.5), so an undeclared slot can arrive `Val::Unset`, and the
+    /// typed accessor ([`EnvView::f64`] and friends) then panics.
     pub fn cond(
         &mut self,
         reads: &[Slot],
@@ -221,6 +226,10 @@ pub struct CondBuilder<'a> {
 impl<'a> CondBuilder<'a> {
     /// `map[at] = compute(env, old)` — an assignment whose leftmost value
     /// is modified; `reads` are the slots the right-hand side consults.
+    ///
+    /// As for [`ActionBuilder::cond`], `compute` may read only the slots
+    /// declared in `reads`: a slot it does not declare may have been
+    /// dropped at a hop and arrive `Val::Unset`, which panics on access.
     pub fn assign(
         self,
         map: MapId,
@@ -233,7 +242,8 @@ impl<'a> CondBuilder<'a> {
 
     /// `map[at].insert(compute(env))` — the paper's modification through a
     /// set value's interface ("it is safe to call the insert function on
-    /// the set of vertices").
+    /// the set of vertices"). `compute` may read only the slots declared
+    /// in `reads`, as for [`CondBuilder::assign`].
     pub fn insert(
         self,
         map: MapId,

@@ -12,6 +12,7 @@ use dgp_graph::{DistGraph, LockMap, VertexId};
 use crate::engine::compiled::{self, Ctl, JitFallback, JitGen, JitProgram};
 use crate::engine::maps::ErasedMap;
 use crate::engine::value::{EnvArr, EnvView, Val, MAX_SLOTS};
+use crate::engine::wire::{self, HopClass, HopLayout, HopMsg};
 use crate::engine::{EngineConfig, EngineStats, EngineStatsSnapshot, SyncMode};
 use crate::ir::{ActionIr, GenItem, GeneratorIr, Place, ReadRef};
 use crate::plan::{self, ExecStep};
@@ -21,8 +22,11 @@ pub type ActionId = u32;
 
 const START_PC: u32 = u32::MAX;
 
-/// The single message type the engine registers: one step of one action
-/// instance, addressed to the locality it must run at.
+/// The full-width message: one step of one action instance, addressed to
+/// the locality it must run at, with the whole payload. Interpreted
+/// actions travel on it; compiled ones ship the narrower
+/// liveness-packed `HopMsg` classes (INTERNALS §14.5) and use this
+/// frame only in memory.
 #[derive(Debug, Clone, Copy)]
 pub struct ActionMsg {
     pub(crate) action: ActionId,
@@ -97,6 +101,19 @@ pub(crate) struct CompiledAction {
     jit: Option<JitProgram>,
     /// Why the action is interpreted instead; `None` iff `jit` is set.
     jit_fallback: Option<JitFallback>,
+    /// Arrival layout of each step (indexed by pc) for the compiled tier's
+    /// narrow hops; empty for interpreted actions, which hop full width.
+    layouts: Vec<HopLayout>,
+}
+
+/// The engine's registered message types: the full-width frame plus the
+/// three narrow hop classes.
+#[derive(Clone, Copy)]
+struct WireTypes {
+    full: MessageType<ActionMsg>,
+    hop0: MessageType<HopMsg<0>>,
+    hop2: MessageType<HopMsg<2>>,
+    hop4: MessageType<HopMsg<4>>,
 }
 
 pub(crate) struct EngineInner {
@@ -111,7 +128,7 @@ pub(crate) struct EngineInner {
     /// Owner-only accesses the interpreter's guards caught away from their
     /// locality (the dynamic cross-validator of the static verifier).
     locality_violations: AtomicU64,
-    msg: OnceLock<MessageType<ActionMsg>>,
+    wire: OnceLock<WireTypes>,
 }
 
 /// The per-rank pattern engine. Cloning shares the underlying state (use
@@ -122,8 +139,9 @@ pub struct PatternEngine {
 }
 
 impl PatternEngine {
-    /// Collectively construct the engine: registers its AM message type,
-    /// so every rank must call this at the same registration point.
+    /// Collectively construct the engine: registers its AM message types
+    /// (the full-width frame and the three narrow hop classes), so every
+    /// rank must call this at the same registration point.
     pub fn new(ctx: &AmCtx, graph: DistGraph, cfg: EngineConfig) -> PatternEngine {
         let rank = ctx.rank();
         let locals = graph.shard(rank).num_local();
@@ -137,18 +155,24 @@ impl PatternEngine {
             lock_map: LockMap::new(locals, cfg.lock_granularity),
             stats: EngineStats::default(),
             locality_violations: AtomicU64::new(0),
-            msg: OnceLock::new(),
+            wire: OnceLock::new(),
         });
         let handler_inner = inner.clone();
-        let mt = ctx.register_named(
-            "pattern-engine",
+        let full = ctx.register_named(
+            HopClass::Full.type_name(),
             move |hctx: &HandlerCtx<'_, ActionMsg>, m: ActionMsg| {
                 handler_inner.exec(hctx, m);
             },
         );
+        let types = WireTypes {
+            full,
+            hop0: register_hop(ctx, &inner, HopClass::Slots0),
+            hop2: register_hop(ctx, &inner, HopClass::Slots2),
+            hop4: register_hop(ctx, &inner, HopClass::Slots4),
+        };
         inner
-            .msg
-            .set(mt)
+            .wire
+            .set(types)
             .unwrap_or_else(|_| unreachable!("engine registered once"));
         PatternEngine { inner }
     }
@@ -258,6 +282,7 @@ impl PatternEngine {
             mod_target_resolvers,
             jit: None,
             jit_fallback: None,
+            layouts: Vec::new(),
         };
         // Attempt the plan→closure compiler (INTERNALS §14). Its gate
         // demands `Execution::Compiled` and the plan's proof; a fallback
@@ -265,7 +290,10 @@ impl PatternEngine {
         // semantics oracle.
         let maps = self.inner.maps.read().clone();
         match compiled::compile(&compiled, &maps, &self.inner.cfg) {
-            Ok(prog) => compiled.jit = Some(prog),
+            Ok(prog) => {
+                compiled.jit = Some(prog);
+                compiled.layouts = wire::layouts(&compiled.ir, &compiled.plan);
+            }
             Err(fb) => compiled.jit_fallback = Some(fb),
         }
         let compiled = Arc::new(compiled);
@@ -316,11 +344,15 @@ impl PatternEngine {
             gen: GenItem::None,
             env: EnvArr::default(),
         };
-        self.inner.actions.read()[action as usize]
-            .msgs_sent
-            .fetch_add(1, Ordering::Relaxed);
-        let mt = *self.inner.msg.get().expect("engine constructed");
-        mt.send(ctx, self.inner.graph.owner(v), msg);
+        let compiled = {
+            let actions = self.inner.actions.read();
+            let a = &actions[action as usize];
+            a.msgs_sent.fetch_add(1, Ordering::Relaxed);
+            a.jit.is_some()
+        };
+        let layout = compiled.then_some(&HopLayout::START);
+        self.inner
+            .send(ctx, self.inner.graph.owner(v), &msg, layout);
     }
 
     /// Run `action` at owned vertex `v` inline (strategy main loops and
@@ -366,6 +398,19 @@ impl PatternEngine {
             .map(|a| (a.ir.name.clone(), a.msgs_sent.load(Ordering::Relaxed)))
             .collect()
     }
+}
+
+/// Register one narrow hop class; its handler unpacks into the full frame.
+fn register_hop<const K: usize>(
+    ctx: &AmCtx,
+    inner: &Arc<EngineInner>,
+    class: HopClass,
+) -> MessageType<HopMsg<K>> {
+    let inner = inner.clone();
+    ctx.register_named(
+        class.type_name(),
+        move |hctx: &HandlerCtx<'_, HopMsg<K>>, m: HopMsg<K>| inner.exec_hop(hctx, m),
+    )
 }
 
 fn resolver_for(ir: &ActionIr, p: &Place) -> Result<Resolver, String> {
@@ -474,16 +519,43 @@ impl EngineInner {
         let dest = self.graph.owner(target);
         if dest != self.rank || self.cfg.self_send {
             action.msgs_sent.fetch_add(1, Ordering::Relaxed);
-            let mt = *self.msg.get().expect("engine constructed");
-            mt.send(ctx, dest, *msg);
+            self.send(ctx, dest, msg, action.layouts.get(pc as usize));
             return true;
         }
         false
     }
 
+    /// Ship `msg` in the class its arrival `layout` names; no layout (an
+    /// interpreted action) means full width.
+    #[inline(always)]
+    fn send(&self, ctx: &AmCtx, dest: usize, msg: &ActionMsg, layout: Option<&HopLayout>) {
+        let wt = self.wire.get().expect("engine constructed");
+        let Some(l) = layout else {
+            return wt.full.send(ctx, dest, *msg);
+        };
+        match l.class {
+            HopClass::Slots0 => wt.hop0.send(ctx, dest, HopMsg::pack(msg, l)),
+            HopClass::Slots2 => wt.hop2.send(ctx, dest, HopMsg::pack(msg, l)),
+            HopClass::Slots4 => wt.hop4.send(ctx, dest, HopMsg::pack(msg, l)),
+            HopClass::Full => wt.full.send(ctx, dest, *msg),
+        }
+    }
+
+    /// The narrow-class handler: rebuild the full frame from the arrival
+    /// layout of the target step and run it like a full-width message.
+    fn exec_hop<const K: usize>(&self, ctx: &AmCtx, m: HopMsg<K>) {
+        if m.pc == START_PC {
+            self.exec_start(ctx, m.unpack(&HopLayout::START));
+        } else {
+            let action = self.actions.read()[m.action as usize].clone();
+            let frame = m.unpack(&action.layouts[m.pc as usize]);
+            self.run(ctx, &action, frame);
+        }
+    }
+
     /// Drive a compiled action: each step closure returns what to do
-    /// next; hops take the interpreter's send-or-inline rule (and its
-    /// coalescing buffers — the same single message type).
+    /// next; hops take the interpreter's send-or-inline rule and ship
+    /// the step's narrow class.
     fn run_jit(&self, ctx: &AmCtx, action: &CompiledAction, jit: &JitProgram, mut msg: ActionMsg) {
         loop {
             match (jit.steps[msg.pc as usize])(self, ctx, &mut msg) {

@@ -3,7 +3,7 @@
 //! runtime.
 //!
 //! Each rank constructs one [`PatternEngine`] (collectively — it registers
-//! one AM message type). Property maps and actions are then registered in
+//! its AM message types). Property maps and actions are then registered in
 //! the same order on every rank; strategies drive actions with
 //! [`PatternEngine::invoke`] / [`PatternEngine::run_at`] inside epochs and
 //! customize dependency handling through **work hooks**
@@ -13,11 +13,13 @@ mod compiled;
 mod exec;
 mod maps;
 mod value;
+mod wire;
 
 pub use compiled::{static_compilability, CodecKind, JitFallback, MapAccess, MapHint};
 pub use exec::{ActionId, ActionMsg, ModExec, ModOp, PatternEngine, WorkHook};
 pub use maps::{AtomicMapHandle, EdgeMapHandle, ErasedMap, SetMapHandle, ValCodec};
 pub use value::{EnvArr, EnvView, Val, MAX_SLOTS};
+pub use wire::{hop_payloads, HopClass, HopPayload};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

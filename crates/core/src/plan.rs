@@ -29,6 +29,7 @@
 //! between distinct vertices is one message — plus a [`CommPlan`] summary
 //! used by the figure-reproduction experiments.
 
+pub mod liveness;
 pub mod soundness;
 
 use std::collections::HashSet;

@@ -147,6 +147,10 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     /// The proof, present exactly when no error-severity finding exists.
     pub facts: Option<VerifiedFacts>,
+    /// The fixpoint's slot states on arrival at each step, indexed by pc
+    /// and joined over the places the step is reached at (so `gathered`
+    /// is a must-fact over every path); `None` where no path reaches.
+    pub states_at: Vec<Option<Vec<SlotState>>>,
 }
 
 impl Analysis {
@@ -290,6 +294,17 @@ pub fn analyze(ir: &ActionIr, plan: &ExecPlan) -> Analysis {
         a.0.cmp(&b.0)
             .then_with(|| a.1.to_string().cmp(&b.1.to_string()))
     });
+    let mut states_at: Vec<Option<AbsState>> = vec![None; plan.steps.len()];
+    for (pc, here) in &keys {
+        let st = &states[&(*pc, here.clone())];
+        match states_at.get_mut(*pc) {
+            Some(Some(joined)) => {
+                join_state(joined, st);
+            }
+            Some(slot) => *slot = Some(st.clone()),
+            None => {} // past the end: reported as S005 below
+        }
+    }
 
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     let mut emit = |d: Diagnostic| {
@@ -566,7 +581,11 @@ pub fn analyze(ir: &ActionIr, plan: &ExecPlan) -> Analysis {
             _sealed: (),
         })
     };
-    Analysis { diagnostics, facts }
+    Analysis {
+        diagnostics,
+        facts,
+        states_at,
+    }
 }
 
 /// Mark every payload slot whose cell may alias a written target as

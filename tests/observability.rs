@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use dgp::prelude::*;
 use dgp_algorithms::{seq, sssp::Sssp};
+use dgp_core::engine::HopClass;
 use dgp_graph::properties::EdgeMap;
 use dgp_graph::{DistGraph, Distribution};
 
@@ -424,10 +425,28 @@ fn metrics_json_epochs_reassemble_cumulative() {
             .sum();
         assert_eq!(total, cumulative.get(key).unwrap().as_num(), "{key}");
     }
-    // Per-type counters name the registered engine message types.
+    // Per-type counters name the registered engine message types and
+    // carry their bytes: messages sent × the type's width.
     let per_type = doc.get("per_type").unwrap().as_arr();
     assert!(!per_type.is_empty());
     for t in per_type {
         assert!(!t.get("name").unwrap().as_str().is_empty());
+        assert!(t.get("bytes").is_some(), "per-type entry without bytes");
     }
+    let by_class = |class: HopClass| {
+        let t = per_type
+            .iter()
+            .find(|t| t.get("name").unwrap().as_str() == class.type_name())
+            .unwrap_or_else(|| panic!("{class:?} not registered"));
+        (
+            t.get("sent").unwrap().as_num(),
+            t.get("bytes").unwrap().as_num(),
+        )
+    };
+    // The compiled relax hop ships two live slots, so its traffic is on
+    // the two-slot class; nothing travels full width.
+    let (sent, bytes) = by_class(HopClass::Slots2);
+    assert!(sent > 0.0, "no relax hops recorded");
+    assert_eq!(bytes, sent * HopClass::Slots2.bytes() as f64);
+    assert_eq!(by_class(HopClass::Full), (0.0, 0.0));
 }
