@@ -890,6 +890,7 @@ mod exp {
             ("delta Δ=4".to_string(), SsspStrategy::Delta(4.0)),
             ("delta Δ=16".to_string(), SsspStrategy::Delta(16.0)),
             ("delta-split Δ=1".to_string(), SsspStrategy::DeltaSplit(1.0)),
+            ("delta-async Δ=1".to_string(), SsspStrategy::DeltaAsync(1.0)),
             (
                 "delta Δ=1e9 (1 bucket)".to_string(),
                 SsspStrategy::Delta(1e9),
@@ -906,6 +907,7 @@ mod exp {
                 &oracle,
             );
             sssp_row(&mut t, &m);
+            assert!(m.correct, "{label}: distances differ from seq::dijkstra");
         }
         t.print();
         println!("\nsmall Δ: many epochs, few wasted relaxations; huge Δ ~ chaotic fixed point.");

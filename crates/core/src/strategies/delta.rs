@@ -13,6 +13,12 @@ use crate::engine::{ActionId, PatternEngine};
 use crate::obs::Observer;
 use crate::strategies::Buckets;
 
+/// This rank's empty buckets over its local vertices.
+fn new_buckets(engine: &PatternEngine, rank: usize, delta: f64) -> Buckets {
+    let dist = engine.graph().distribution();
+    Buckets::new(delta, dist, dist.local_count(rank))
+}
+
 /// The paper's `delta` strategy:
 ///
 /// ```text
@@ -40,8 +46,8 @@ pub fn delta_stepping(
     m: &AtomicVertexMap<f64>,
     delta: f64,
 ) -> usize {
-    let buckets = Arc::new(Buckets::new(delta));
     let rank = ctx.rank();
+    let buckets = Arc::new(new_buckets(engine, rank, delta));
     for &v in seeds {
         debug_assert_eq!(engine.graph().owner(v), rank, "seeds are rank-local");
         buckets.insert(v, m.get(rank, v));
@@ -125,8 +131,8 @@ pub fn delta_stepping_split(
     m: &AtomicVertexMap<f64>,
     delta: f64,
 ) -> usize {
-    let buckets = Arc::new(Buckets::new(delta));
     let rank = ctx.rank();
+    let buckets = Arc::new(new_buckets(engine, rank, delta));
     for &v in seeds {
         debug_assert_eq!(engine.graph().owner(v), rank, "seeds are rank-local");
         buckets.insert(v, m.get(rank, v));
@@ -215,8 +221,8 @@ pub fn delta_stepping_async(
     m: &AtomicVertexMap<f64>,
     delta: f64,
 ) -> usize {
-    let buckets = Arc::new(Buckets::new(delta));
     let rank = ctx.rank();
+    let buckets = Arc::new(new_buckets(engine, rank, delta));
     for &v in seeds {
         debug_assert_eq!(engine.graph().owner(v), rank, "seeds are rank-local");
         buckets.insert(v, m.get(rank, v));

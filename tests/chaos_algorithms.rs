@@ -27,29 +27,54 @@ fn chaos_cfg(ranks: usize, seed: u64) -> MachineConfig {
         .faults(FaultPlan::chaos(seed))
 }
 
-#[test]
-fn sssp_bit_identical_under_chaos() {
+/// A Δ schedule's SSSP under chaos is bit-identical to its fault-free
+/// run, which matches Dijkstra.
+fn assert_delta_bit_identical_under_chaos(strategy: SsspStrategy) {
     let mut el = generators::erdos_renyi(150, 900, 8);
     el.randomize_weights(0.5, 3.0, 9);
-    let clean = run_sssp(&el, 3, 0, SsspStrategy::Delta(1.0));
+    let clean = run_sssp(&el, 3, 0, strategy);
     let expect = seq::dijkstra(&el, 0);
     // Sanity: the fault-free run is itself correct.
     for (i, (x, y)) in clean.iter().zip(&expect).enumerate() {
         let ok = (x - y).abs() < 1e-9 || (x.is_infinite() && y.is_infinite());
-        assert!(ok, "vertex {i}: {x} vs {y}");
+        assert!(ok, "{strategy:?} vertex {i}: {x} vs {y}");
     }
     for seed in seeds() {
-        let (got, stats) = run_sssp_cfg_stats(&el, chaos_cfg(3, seed), 0, SsspStrategy::Delta(1.0));
+        let (got, stats) = run_sssp_cfg_stats(&el, chaos_cfg(3, seed), 0, strategy);
         // Bit-identical, not approximately equal: the reliability layer
         // must make the faulted run indistinguishable from the clean one.
         assert_eq!(
             got.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
             clean.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-            "seed {seed}"
+            "{strategy:?} seed {seed}"
         );
-        assert!(stats.faults_injected() > 0, "seed {seed}: nothing injected");
-        assert!(stats.retransmits > 0, "seed {seed}: drops never recovered");
+        assert!(
+            stats.faults_injected() > 0,
+            "{strategy:?} seed {seed}: nothing injected"
+        );
+        assert!(
+            stats.retransmits > 0,
+            "{strategy:?} seed {seed}: drops never recovered"
+        );
     }
+}
+
+#[test]
+fn sssp_bit_identical_under_chaos() {
+    assert_delta_bit_identical_under_chaos(SsspStrategy::Delta(1.0));
+}
+
+/// The asynchronous schedule ends its one epoch with `try_finish` while
+/// work hooks keep depositing bucket work: a lost queue entry would hang
+/// the run or strand a vertex at a stale distance.
+#[test]
+fn sssp_delta_async_bit_identical_under_chaos() {
+    assert_delta_bit_identical_under_chaos(SsspStrategy::DeltaAsync(1.0));
+}
+
+#[test]
+fn sssp_delta_split_bit_identical_under_chaos() {
+    assert_delta_bit_identical_under_chaos(SsspStrategy::DeltaSplit(1.0));
 }
 
 #[test]
